@@ -1,7 +1,11 @@
 //! Oracle baselines: the exact solvers that decide every family
 //! predicate. These are the "substrate" costs the experiment benches
-//! compose, measured on random instances so regressions are visible.
+//! compose, measured on random instances (plus one code-gadget MWIS
+//! call) so regressions are visible.
 
+use congest_comm::BitString;
+use congest_core::approx_maxis::WeightedMaxIsGapFamily;
+use congest_core::LowerBoundFamily;
 use congest_graph::generators;
 use congest_solvers::{hamilton, matching, maxcut, mds, mis, steiner};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -25,6 +29,16 @@ fn bench_set_solvers(c: &mut Criterion) {
             b.iter(|| black_box(matching::max_matching_size(&g)))
         });
     }
+    // One MWIS oracle call of E10–E12: the (k, ℓ) = (2, 3) YES code
+    // gadget (n = 88, 6551 search nodes), where the per-node kernel cost
+    // shows; the random instances above finish in microseconds.
+    let k = 2;
+    let mut x = BitString::zeros(k * k);
+    x.set_pair(k, 0, 0, true);
+    let gadget = WeightedMaxIsGapFamily::new(k, 3).build(&x, &x);
+    group.bench_function("mwis_code_gadget", |b| {
+        b.iter(|| black_box(mis::max_weight_independent_set(&gadget)))
+    });
     group.finish();
 }
 

@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the full paper pipeline, end to end.
 
 use congest_hardness::comm::Channel;
+use congest_hardness::core::approx_maxis::WeightedMaxIsGapFamily;
 use congest_hardness::core::hamiltonian::HamPathFamily;
 use congest_hardness::core::maxcut::MaxCutFamily;
 use congest_hardness::core::mds::MdsFamily;
@@ -14,7 +15,7 @@ use congest_hardness::limits::SplitGraph;
 use congest_hardness::prelude::BitString;
 use congest_hardness::sim::algorithms::{LeaderElection, LocalCutSolver, SampledMaxCut};
 use congest_hardness::sim::Simulator;
-use congest_hardness::solvers::{maxcut, mds, mis, steiner};
+use congest_hardness::solvers::{maxcut, mds, mis, steiner, SearchStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -147,4 +148,41 @@ fn prelude_surface() {
     assert_eq!(x.len(), 4);
     let f = Disjointness::new(4);
     assert!(f.eval(&x, &x.clone()));
+}
+
+/// The exact MWIS search trees behind E10–E12 are pinned: weight plus
+/// every branch-and-bound counter of the YES (`x = y`, one shared pair)
+/// and NO (disjoint pairs) code-gadget instances. A kernel change that
+/// alters the colouring order or the bound shows up here, not only in
+/// the `bb nodes` column of the full report.
+#[test]
+fn code_gadget_mwis_search_trees_are_pinned() {
+    let pin = |weight, nodes, prunes, backtracks, incumbents| {
+        let stats = SearchStats {
+            nodes,
+            prunes,
+            backtracks,
+            incumbents,
+            bound_cutoffs: prunes,
+            ..SearchStats::default()
+        };
+        (weight, stats)
+    };
+    let cases = [
+        ((2, 2), pin(20, 905, 894, 5, 5), pin(18, 616, 606, 4, 5)),
+        ((2, 3), pin(28, 6551, 6535, 7, 7), pin(25, 5138, 5123, 6, 7)),
+        ((4, 2), pin(24, 5019, 5008, 5, 5), pin(22, 2435, 2425, 4, 5)),
+    ];
+    for ((k, ell), yes, no) in cases {
+        let fam = WeightedMaxIsGapFamily::new(k, ell);
+        let mut x = BitString::zeros(k * k);
+        x.set_pair(k, 0, 0, true);
+        let mut y = BitString::zeros(k * k);
+        y.set_pair(k, 0, k - 1, true);
+        for (a, b, want) in [(&x, &x, yes), (&x, &y, no)] {
+            let (sol, mut stats) = mis::max_weight_independent_set_with_stats(&fam.build(a, b));
+            stats.elapsed_micros = 0;
+            assert_eq!((sol.weight, stats), want, "(k, ℓ) = ({k}, {ell})");
+        }
+    }
 }
