@@ -1,10 +1,11 @@
 //! Oracle baselines: the exact solvers that decide every family
 //! predicate. These are the "substrate" costs the experiment benches
 //! compose, measured on random instances (plus one code-gadget MWIS
-//! call) so regressions are visible.
+//! call and one Theorem 2.1 MDS decision) so regressions are visible.
 
 use congest_comm::BitString;
 use congest_core::approx_maxis::WeightedMaxIsGapFamily;
+use congest_core::mds::MdsFamily;
 use congest_core::LowerBoundFamily;
 use congest_graph::generators;
 use congest_solvers::{hamilton, matching, maxcut, mds, mis, steiner};
@@ -38,6 +39,20 @@ fn bench_set_solvers(c: &mut Criterion) {
     let gadget = WeightedMaxIsGapFamily::new(k, 3).build(&x, &x);
     group.bench_function("mwis_code_gadget", |b| {
         b.iter(|| black_box(mis::max_weight_independent_set(&gadget)))
+    });
+    // One MDS oracle call of the `verify_sweep` K = 5 sweep: the
+    // gadget-4 NO pair x = 00001, y = 01110 (n = 40, 40,823 search
+    // nodes, an exhaustive refutation under the size cap).
+    let fam = MdsFamily::new(4);
+    let mut x = BitString::zeros(fam.input_len());
+    let mut y = BitString::zeros(fam.input_len());
+    x.set(0, true);
+    for i in 1..5 {
+        y.set(i, true);
+    }
+    let gadget = fam.build(&x, &y);
+    group.bench_function("mds_code_gadget", |b| {
+        b.iter(|| black_box(fam.predicate(&gadget)))
     });
     group.finish();
 }

@@ -1,13 +1,14 @@
 //! Word-packed vertex-set helpers shared by the exact solvers.
 //!
-//! The dominating-set solver and the brute-force oracles work on one
-//! `u128` mask per vertex (at most 128 vertices). The MWIS/clique and
-//! Hamiltonian engines use [`Words<W>`], a set of `W` 64-bit words chosen
-//! at compile time, and dispatch on `W = ⌈n/64⌉ ≤ 4`.
+//! The exact engines — dominating set, MWIS/clique and Hamiltonian — use
+//! [`Words<W>`], a set of `W` 64-bit words chosen at compile time, and
+//! dispatch on `W = ⌈n/64⌉ ≤ 4`. The brute-force oracles and the small
+//! Hamiltonian DP work on one `u128` mask per vertex (at most [`MAX_N`]
+//! vertices).
 
 use congest_graph::{DiGraph, Graph};
 
-/// Maximum supported vertex count for bitmask solvers.
+/// Maximum supported vertex count for the `u128` mask helpers.
 pub const MAX_N: usize = 128;
 
 /// Adjacency of an undirected graph as one `u128` mask per vertex.
@@ -71,39 +72,6 @@ pub fn iter_bits(mut mask: u128) -> impl Iterator<Item = usize> {
     })
 }
 
-/// Converts a mask to a vector of vertex ids.
-pub fn mask_to_vec(mask: u128) -> Vec<usize> {
-    iter_bits(mask).collect()
-}
-
-/// Connected components of the graph whose adjacency is `adj`, as vertex
-/// masks in ascending order of smallest member. Isolated vertices form
-/// singleton components.
-pub fn components_u128(adj: &[u128]) -> Vec<u128> {
-    let n = adj.len();
-    let mut seen = 0u128;
-    let mut comps = Vec::new();
-    for v in 0..n {
-        if seen & (1 << v) != 0 {
-            continue;
-        }
-        let mut comp = 1u128 << v;
-        let mut frontier = comp;
-        while frontier != 0 {
-            let mut next = 0u128;
-            for u in iter_bits(frontier) {
-                next |= adj[u];
-            }
-            next &= !comp;
-            comp |= next;
-            frontier = next;
-        }
-        seen |= comp;
-        comps.push(comp);
-    }
-    comps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,7 +83,7 @@ mod tests {
         g.add_edge(2, 3);
         let adj = adjacency_masks(&g);
         assert_eq!(adj[2], 0b1001);
-        assert_eq!(mask_to_vec(adj[2]), vec![0, 3]);
+        assert_eq!(iter_bits(adj[2]).collect::<Vec<_>>(), vec![0, 3]);
         assert_eq!(full_mask(4), 0b1111);
     }
 

@@ -184,7 +184,8 @@ fn run(g: &Graph, w: &[Weight], independent: bool) -> (SetSolution, SearchStats)
     }
 }
 
-fn node_weights(g: &Graph) -> Vec<Weight> {
+/// The node weights of `g`, indexed by vertex.
+pub(crate) fn node_weights(g: &Graph) -> Vec<Weight> {
     (0..g.num_nodes()).map(|v| g.node_weight(v)).collect()
 }
 

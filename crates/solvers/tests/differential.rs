@@ -7,8 +7,9 @@
 //! sweep must agree three ways — two independent rewrites cross-check
 //! each other against ground truth.
 //!
-//! The MWIS kernel is also checked at every word width by embedding a
-//! small instance at scattered indices of a graph of up to 256 vertices.
+//! The MWIS and dominating-set kernels are also checked at every word
+//! width by embedding a small instance at scattered indices of a graph
+//! of up to 256 vertices.
 //!
 //! The pinned op-count tests at the bottom freeze the pruning counters
 //! of [`congest_solvers::SearchStats`] on fixed instances, so a
@@ -121,6 +122,32 @@ fn brute_ham_cycle(g: &DiGraph) -> bool {
     extend(g, &mut used, 0, 1)
 }
 
+/// The padded sizes that reach every word width and both sides of each
+/// word boundary.
+const WIDTHS: [usize; 7] = [64, 65, 128, 129, 192, 193, 256];
+
+/// `g` embedded at seeded scattered indices of a `big_n`-vertex graph,
+/// its last vertex always on the top index, padded with isolated
+/// weight-0 vertices.
+fn embed_scattered(g: &Graph, big_n: usize, seed: u64) -> Graph {
+    let n = g.num_nodes();
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5ca7);
+    let mut slots: Vec<usize> = (0..big_n - 1).collect();
+    slots.shuffle(&mut rng);
+    slots[n - 1] = big_n - 1;
+    let mut big = Graph::new(big_n);
+    for v in 0..big_n {
+        big.set_node_weight(v, 0);
+    }
+    for (v, &slot) in slots[..n].iter().enumerate() {
+        big.set_node_weight(slot, g.node_weight(v));
+    }
+    for (u, v, _) in g.edges() {
+        big.add_edge(slots[u], slots[v]);
+    }
+    big
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -165,26 +192,40 @@ proptest! {
         seed in any::<u64>(),
         size in 0usize..7,
     ) {
-        let big_n = [64, 65, 128, 129, 192, 193, 256][size];
         let g = weighted_gnp(n, 0.3, seed);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5ca7);
-        let mut slots: Vec<usize> = (0..big_n - 1).collect();
-        slots.shuffle(&mut rng);
-        slots[n - 1] = big_n - 1;
-        let mut big = Graph::new(big_n);
-        for v in 0..big_n {
-            big.set_node_weight(v, 0);
-        }
-        for (v, &slot) in slots[..n].iter().enumerate() {
-            big.set_node_weight(slot, g.node_weight(v));
-        }
-        for (u, v, _) in g.edges() {
-            big.add_edge(slots[u], slots[v]);
-        }
+        let big = embed_scattered(&g, WIDTHS[size], seed);
         let (sol, _) = max_weight_independent_set_with_stats(&big);
         prop_assert!(big.is_independent_set(&sol.vertices));
         prop_assert_eq!(big.node_set_weight(&sol.vertices), sol.weight);
         prop_assert_eq!(sol.weight, max_weight_independent_set_brute(&g));
+    }
+
+    /// The dominating-set engine is right at every word width: the same
+    /// embedding keeps the weighted optimum (the free zero-weight rule
+    /// takes every padding vertex), and under unit weights each padding
+    /// vertex costs exactly one more.
+    #[test]
+    fn mds_kernel_is_exact_across_word_boundaries(
+        n in 2usize..=12,
+        seed in any::<u64>(),
+        size in 0usize..7,
+    ) {
+        let g = weighted_gnp(n, 0.3, seed);
+        let big_n = WIDTHS[size];
+        let big = embed_scattered(&g, big_n, seed);
+        let (sol, _) = min_weight_dominating_set_with_stats(&big);
+        prop_assert!(big.is_dominating_set(&sol.vertices));
+        prop_assert_eq!(big.node_set_weight(&sol.vertices), sol.weight);
+        prop_assert_eq!(sol.weight, min_weight_dominating_set_brute(&g));
+
+        let mut unit = g.clone();
+        for v in 0..n {
+            unit.set_node_weight(v, 1);
+        }
+        let gamma = (min_weight_dominating_set_brute(&unit) as usize) + big_n - n;
+        let (below, _) = has_dominating_set_of_size_with_stats(&big, gamma - 1);
+        let (at, _) = has_dominating_set_of_size_with_stats(&big, gamma);
+        prop_assert!(!below && at, "gamma {}", gamma);
     }
 
     /// The max-cut kernel agrees with bipartition enumeration, and the

@@ -186,3 +186,43 @@ fn code_gadget_mwis_search_trees_are_pinned() {
         }
     }
 }
+
+/// The Theorem 2.1 MDS decision searches behind `verify_sweep` are
+/// pinned: answer plus every branch-and-bound counter on fixed gadget-4
+/// pairs with K = 5 live bits, three intersecting (YES) and three
+/// disjoint (NO). `(0, 0)` leaves the gadget disconnected, so it also
+/// pins the per-component split. A kernel change that alters the branch
+/// vertex, the candidate order or the packing bound shows up here.
+#[test]
+fn mds_gadget_search_trees_are_pinned() {
+    let pin = |nodes, prunes, backtracks, incumbents, bound_cutoffs, components| SearchStats {
+        nodes,
+        prunes,
+        backtracks,
+        incumbents,
+        bound_cutoffs,
+        components,
+        ..SearchStats::default()
+    };
+    let cases = [
+        ((1u64, 1u64), true, pin(12878, 8586, 4291, 1, 8583, 0)),
+        ((31, 31), true, pin(10225, 6843, 3381, 1, 6840, 0)),
+        ((21, 5), true, pin(16352, 10926, 5425, 1, 10923, 0)),
+        ((1, 30), false, pin(40823, 27743, 13080, 0, 27743, 0)),
+        ((0, 0), false, pin(392, 261, 130, 1, 259, 2)),
+        ((10, 21), false, pin(27846, 18613, 9233, 0, 18613, 0)),
+    ];
+    let fam = MdsFamily::new(4);
+    for ((xm, ym), want_yes, want) in cases {
+        let mut x = BitString::zeros(fam.input_len());
+        let mut y = BitString::zeros(fam.input_len());
+        for i in 0..5 {
+            x.set(i, (xm >> i) & 1 == 1);
+            y.set(i, (ym >> i) & 1 == 1);
+        }
+        let (yes, stats) = fam.predicate_with_stats(&fam.build(&x, &y));
+        let mut stats = stats.expect("the MDS family reports solver stats");
+        stats.elapsed_micros = 0;
+        assert_eq!((yes, stats), (want_yes, want), "pair ({xm}, {ym})");
+    }
+}
